@@ -6,7 +6,14 @@
 //! since the grid is fixed per search, this evaluator precomputes
 //! `f` on the grid once plus prefix sums of `x, y, x², xy`, making the
 //! per-segment least-squares fit O(log n) and the MSE pass O(n) with no
-//! further calls to `f`.
+//! further calls to `f` (segments too narrow to fit still interpolate
+//! `f` at their ends).
+//!
+//! The search does not call this evaluator for every individual of every
+//! generation: [`crate::IslandRun`] memoizes scores by the individual's
+//! breakpoint bit patterns and evaluates only breakpoint sets it has not
+//! scored before in the run. That is exact because a score is a pure
+//! function of those bits, provided `f` is a pure function of `x`.
 
 use std::sync::Arc;
 

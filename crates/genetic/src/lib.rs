@@ -31,6 +31,22 @@
 //! ```
 
 //!
+//! ## Fitness memo
+//!
+//! Most individuals of a generation were already scored earlier in the
+//! run: tournament clones, the elite, crossovers between identical
+//! parents, and Rounding Mutations that land on an existing FXP value
+//! (DIV / RSQRT run with `θr = 0`, so their mutation changes nothing).
+//! Each [`IslandRun`] therefore keeps one exact memo, shared by its
+//! islands, from an individual's breakpoint bit patterns to its score,
+//! and evaluates only the distinct misses of each generation. A score is
+//! a pure function of those bits and the memo draws no RNG, so every
+//! score, [`IslandRun::history`] and [`SearchResult`] is bit-identical to
+//! scoring every individual directly. This relies on the target being a
+//! pure function of `x`, which [`GeneticSearch::with_function`] requires.
+//! `tests/islands.rs` and the registry's `tests/ga_goldens.rs` pin the
+//! results.
+//!
 //! ## The `simd` feature (default-on)
 //!
 //! Forwarded to `gqa-pwl`: fitness scoring sweeps the sorted grid

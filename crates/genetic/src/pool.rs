@@ -2,10 +2,12 @@
 //!
 //! Earlier revisions spawned scoped OS threads *per generation*; at the
 //! paper's T = 500 that is 500 × W spawns per search. The pool here is
-//! spawned once per [`crate::IslandRun`] and fed scoring jobs over a
-//! channel, so the per-generation cost is one channel round-trip per
-//! chunk. Workers are plain `std::thread` — jobs own `Arc` handles to the
-//! population and scorer, so no scoped lifetimes are needed.
+//! spawned at most once per [`crate::IslandRun`] (on the first generation
+//! whose distinct fitness-memo misses are worth sharding) and fed scoring
+//! jobs over a channel, so the per-generation cost is one channel
+//! round-trip per chunk. Workers are plain `std::thread` — jobs own `Arc`
+//! handles to the individuals and scorer, so no scoped lifetimes are
+//! needed.
 //!
 //! Determinism: a job scores a contiguous index range and the results are
 //! written back by range start, so the assembled score vector is identical
@@ -122,12 +124,6 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>) {
             return;
         };
         let scores: Vec<f64> = pop[range.clone()].iter().map(|p| scorer.score(p)).collect();
-        // Release the shared-population handle *before* announcing the
-        // result: the consumer reclaims the population with
-        // Arc::try_unwrap right after the last recv, and a still-alive
-        // clone here would force it into a full population copy.
-        drop(pop);
-        drop(scorer);
         // The consumer may have bailed; dropping the result is fine.
         let _ = out.send((range.start, scores));
     }

@@ -10,11 +10,25 @@
 //! machinery degenerates to the paper's single-population Algorithm 1 and
 //! is **bit-exact** with it: island 0's RNG stream *is* the config seed.
 //!
-//! Population scoring is offloaded to a persistent worker pool (under the
-//! `parallel` feature) that is spawned once per run and amortized across
-//! all generations and islands, replacing the per-generation thread
-//! spawning of earlier revisions.
+//! Scoring goes through an exact fitness memo, one per run and shared by
+//! every island: it maps an individual's breakpoint bit patterns
+//! (`f64::to_bits` of each breakpoint) to its score. Most of a
+//! generation's individuals were already scored earlier in the run
+//! (tournament clones, the elite, crossovers between identical parents,
+//! Rounding Mutations that land on an existing FXP value), so only the
+//! generation's distinct misses are evaluated, once each. The memo is
+//! invisible in the results because scoring is a pure function of those
+//! bits and the memo draws no RNG: scores, `history()` and the final
+//! artifact are bit-identical to scoring every individual directly. That
+//! purity is why a [`GeneticSearch::with_function`] target must be a pure
+//! function of `x`. The memo has no eviction; it holds at most
+//! `population × (generations + 1) × islands` entries.
+//!
+//! When a generation's distinct misses are numerous enough to amortize a
+//! channel round trip, they are offloaded to a persistent worker pool
+//! (under the `parallel` feature) that is spawned at most once per run.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -156,6 +170,10 @@ impl GeneticSearch {
     /// config is then only used for labeling). This is how downstream users
     /// approximate functions outside the paper's set.
     ///
+    /// `function` must be a pure function of `x`: the run memoizes each
+    /// individual's score by its breakpoint bits, so a target whose value
+    /// drifts between calls would see stale scores.
+    ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`SearchConfig::validate`].
@@ -234,6 +252,13 @@ impl GeneticSearch {
     }
 }
 
+/// Least distinct-miss work (individuals × grid points) worth sharding
+/// across the scoring pool: below it the channel round trip costs more
+/// than it saves. A fresh paper-config population (N_p = 50 × 800-point
+/// grid) qualifies; the handful of misses of a later generation does not.
+#[cfg(feature = "parallel")]
+const SHARD_MIN_WORK: usize = 20_000;
+
 /// One deme: an independent population with its own RNG stream.
 struct Island {
     population: Vec<Vec<f64>>,
@@ -245,7 +270,8 @@ struct Island {
 }
 
 /// A resumable island-model evolution: populations, per-island RNG
-/// streams, and the persistent scoring pool live here between generations.
+/// streams, the fitness memo and the persistent scoring pool live here
+/// between generations.
 ///
 /// Obtained from [`GeneticSearch::into_run`]; callers that do not need
 /// generation-level control use [`GeneticSearch::run`].
@@ -255,8 +281,19 @@ pub struct IslandRun {
     islands: Vec<Island>,
     generation: usize,
     history: Vec<f64>,
+    /// Exact fitness memo: breakpoint bit patterns → score, shared by
+    /// every island (they share one `Scorer`).
+    memo: HashMap<Box<[u64]>, f64>,
     #[cfg(feature = "parallel")]
     pool: Option<ScoringPool>,
+    /// Least distinct-miss work (individuals × grid points) that is
+    /// sharded across the pool; [`SHARD_MIN_WORK`] outside tests.
+    #[cfg(feature = "parallel")]
+    shard_min_work: usize,
+    /// Test-only audit: when set, `score_island` checks every score
+    /// against direct scoring and counts the individuals checked.
+    #[cfg(test)]
+    audited: Option<usize>,
     /// Scratch buffer reused across generations for fitness values.
     scores: Vec<f64>,
 }
@@ -302,8 +339,13 @@ impl IslandRun {
             islands,
             generation: 0,
             history,
+            memo: HashMap::new(),
             #[cfg(feature = "parallel")]
             pool: None,
+            #[cfg(feature = "parallel")]
+            shard_min_work: SHARD_MIN_WORK,
+            #[cfg(test)]
+            audited: None,
             scores: Vec::new(),
         }
     }
@@ -440,41 +482,73 @@ impl IslandRun {
     }
 
     /// Scores island `idx`'s population into `self.scores` (ordered by
-    /// individual index). With the `parallel` feature and enough work the
-    /// persistent pool shards the population across workers; results are
-    /// written back by index, so the output is identical to the serial
-    /// sweep.
+    /// individual index). Every individual is looked up in the memo first;
+    /// the distinct misses are scored once each and the memo learns them.
+    /// The result is identical to scoring every individual directly.
     fn score_island(&mut self, idx: usize) {
-        let n = self.islands[idx].population.len();
+        let population = &self.islands[idx].population;
         self.scores.clear();
-        self.scores.resize(n, 0.0);
+        self.scores.resize(population.len(), 0.0);
+        let mut key: Vec<u64> = Vec::with_capacity(self.config.num_breakpoints);
+        // Distinct misses of this generation, and (individual, miss) pairs
+        // to fill in once they are scored.
+        let mut fresh: HashMap<Box<[u64]>, usize> = HashMap::new();
+        let mut misses: Vec<Vec<f64>> = Vec::new();
+        let mut deferred: Vec<(usize, usize)> = Vec::new();
+        for (i, p) in population.iter().enumerate() {
+            key.clear();
+            key.extend(p.iter().map(|b| b.to_bits()));
+            if let Some(&score) = self.memo.get(key.as_slice()) {
+                self.scores[i] = score;
+                continue;
+            }
+            let m = match fresh.get(key.as_slice()) {
+                Some(&m) => m,
+                None => {
+                    fresh.insert(key.as_slice().into(), misses.len());
+                    misses.push(p.clone());
+                    misses.len() - 1
+                }
+            };
+            deferred.push((i, m));
+        }
+        let scored = self.score_distinct(misses);
+        for (i, m) in deferred {
+            self.scores[i] = scored[m];
+        }
+        self.memo
+            .extend(fresh.into_iter().map(|(bits, m)| (bits, scored[m])));
 
+        #[cfg(test)]
+        if let Some(checked) = &mut self.audited {
+            for (p, &s) in self.islands[idx].population.iter().zip(&self.scores) {
+                assert_eq!(s.to_bits(), self.scorer.score(p).to_bits(), "{p:?}");
+                *checked += 1;
+            }
+        }
+    }
+
+    /// Scores distinct individuals, in order. With the `parallel` feature
+    /// and enough work the persistent pool shards them across workers;
+    /// results are written back by index, so the output is identical to
+    /// the serial sweep.
+    fn score_distinct(&mut self, individuals: Vec<Vec<f64>>) -> Vec<f64> {
         #[cfg(feature = "parallel")]
         {
-            // Only shard when there is enough work to amortize the channel
-            // round-trip: the default paper config (N_p = 50 × 800-point
-            // grid) qualifies.
+            let n = individuals.len();
             let work = n * self.scorer.data_size();
             let avail = std::thread::available_parallelism().map_or(1, usize::from);
             let threads = avail.min(n / 8).min(8);
-            if threads > 1 && work >= 20_000 {
+            if threads > 1 && work >= self.shard_min_work {
                 let pool = self
                     .pool
                     .get_or_insert_with(|| ScoringPool::spawn(avail.min(8)));
-                // Hand the population to the workers as shared ownership,
-                // then take it back (the pool drops its clones once every
-                // chunk is scored).
-                let shared = Arc::new(std::mem::take(&mut self.islands[idx].population));
-                pool.score_into(&self.scorer, &shared, threads, &mut self.scores);
-                self.islands[idx].population =
-                    Arc::try_unwrap(shared).unwrap_or_else(|arc| (*arc).clone());
-                return;
+                let mut out = vec![0.0; n];
+                pool.score_into(&self.scorer, &Arc::new(individuals), threads, &mut out);
+                return out;
             }
         }
-
-        for (out, p) in self.scores.iter_mut().zip(&self.islands[idx].population) {
-            *out = self.scorer.score(p);
-        }
+        individuals.iter().map(|p| self.scorer.score(p)).collect()
     }
 
     /// Line 20: scores the final populations and returns the global best
@@ -712,6 +786,63 @@ mod tests {
         assert_eq!(a.breakpoints(), b.breakpoints());
         assert_eq!(a.best_mse().to_bits(), b.best_mse().to_bits());
         assert_eq!(a.history(), b.history());
+    }
+
+    /// Steps `cfg` to completion with the memo audit on, so every
+    /// generation's score vector is checked bit for bit against direct
+    /// `Scorer::score` of each individual. The first five individuals of
+    /// island 0 start as clones. `pooled` lowers the sharding threshold to
+    /// zero (the pool scores every generation with at least 16 distinct
+    /// misses) or raises it out of reach (every score is serial).
+    fn audited_run(cfg: SearchConfig, pooled: bool) -> SearchResult {
+        let (islands, pop, gens) = (cfg.islands, cfg.population, cfg.generations);
+        let mut run = GeneticSearch::new(cfg).into_run();
+        let first = run.islands[0].population[0].clone();
+        run.islands[0].population[1..5].fill(first);
+        run.audited = Some(0);
+        #[cfg(feature = "parallel")]
+        {
+            run.shard_min_work = if pooled { 0 } else { usize::MAX };
+        }
+        while !run.is_done() {
+            run.step();
+        }
+        let checked = run.audited.expect("audit on");
+        assert_eq!(checked, islands * pop * gens);
+        assert!(
+            run.memo.len() < checked,
+            "the memo must absorb repeats: {} entries for {checked} scores",
+            run.memo.len()
+        );
+        #[cfg(feature = "parallel")]
+        {
+            let cores = std::thread::available_parallelism().map_or(1, usize::from);
+            assert_eq!(run.pool.is_some(), pooled && cores > 1);
+        }
+        #[cfg(not(feature = "parallel"))]
+        let _ = pooled;
+        run.finish()
+    }
+
+    #[test]
+    fn memo_scores_match_direct_scoring() {
+        // Quantization-aware fitness under RM (mostly memo hits), Gaussian
+        // mutation (many fresh individuals per generation, so the pool
+        // path runs often), and three islands sharing one memo.
+        let base = |op| quick(op).with_generations(36).with_population(40);
+        for cfg in [
+            base(NonLinearOp::Gelu).with_fitness(FitnessMode::QuantAwareAverage),
+            base(NonLinearOp::Gelu).without_rounding_mutation(),
+            base(NonLinearOp::Div)
+                .with_islands(3)
+                .with_migration_interval(5),
+        ] {
+            let serial = audited_run(cfg.clone(), false);
+            let pooled = audited_run(cfg, true);
+            assert_eq!(serial.best_mse().to_bits(), pooled.best_mse().to_bits());
+            assert_eq!(serial.breakpoints(), pooled.breakpoints());
+            assert_eq!(serial.history(), pooled.history());
+        }
     }
 
     #[test]
