@@ -2,7 +2,7 @@
 //! registry rebuild for an identical key.
 //!
 //! The acceptance bar for the registry layer is that a repeated
-//! `PwlBackend::build` / `build_lut` with an identical `LutKey` performs
+//! `build_lut` with an identical `LutKey` performs
 //! zero genetic-search generations; these two entries make the resulting
 //! wall-clock gap (≥10×, in practice ≥1000×) part of the recorded bench
 //! trajectory.

@@ -1,29 +1,19 @@
 //! The pwl-LUT backend: routes the paper's five operators through INT8
 //! LUTs inside a live model.
 //!
-//! Since the serving-engine redesign this module is the *compatibility*
-//! spelling: [`PwlBackend`] is a fixed bundle of datapaths, while the
-//! supported surface is `gqa_serve`'s `Engine`/`Session` (per-operator
-//! hot-swap cells, an operator plan, sharded persistence). The deprecated
-//! constructors here route through the same `gqa_serve` datapath
-//! construction, so both spellings are bit-compatible.
+//! [`PwlBackend`] is a fixed bundle of datapaths built from pre-made
+//! LUTs; the serving surface is `gqa_serve`'s `Engine`/`Session`
+//! (per-operator hot-swap cells, an operator plan, sharded persistence).
+//! [`PwlBackend::from_luts`] routes through the same `gqa_serve`
+//! datapath construction, so both spellings are bit-compatible.
 
 use gqa_funcs::{BatchEval, NonLinearOp};
 use gqa_fxp::PowerOfTwoScale;
 use gqa_pwl::{IntLutInstance, MultiRangeLut, QuantAwareLut};
-#[cfg(any(feature = "legacy", test))]
-use gqa_registry::LutBuildError;
-#[cfg(any(feature = "legacy", test))]
-use gqa_registry::LutRegistry;
-#[cfg(any(feature = "legacy", test))]
-use gqa_serve::OpPlan;
 use gqa_serve::{build_datapath, OpDatapath};
 use gqa_tensor::{ExactBackend, UnaryBackend, UnaryKind};
 
 pub use gqa_serve::CalibrationRecorder;
-
-#[cfg(any(feature = "legacy", test))]
-use crate::luts::Method;
 
 /// Which operators are LUT-replaced (the "Replacement" column of Tables
 /// 4 and 5).
@@ -82,9 +72,8 @@ impl ReplaceSet {
     }
 
     /// The serving-engine spelling of this replacement set: every
-    /// replaced operator planned with `base` (Table 4/5 row order). The
-    /// migration bridge from `PwlBackend::build(method, replace, …)` to
-    /// `EngineBuilder::new(replace.to_plan(…)).build()`.
+    /// replaced operator planned with `base` (Table 4/5 row order), ready
+    /// for `EngineBuilder::new(replace.to_plan(…)).build()`.
     #[must_use]
     pub fn to_plan(self, base: gqa_serve::OpPlan) -> gqa_serve::OperatorPlan {
         let mut plan = gqa_serve::OperatorPlan::new();
@@ -154,128 +143,6 @@ impl std::fmt::Debug for PwlBackend {
 }
 
 impl PwlBackend {
-    /// Builds the backend: compiles (or fetches from the global artifact
-    /// registry) the 8-entry LUT for every operator in `replace`,
-    /// instantiating scale-dependent ones at the calibrated power-of-two
-    /// input scales. Rebuilding with an identical `(method, replace,
-    /// seed, budget)` runs zero search generations — every LUT is a
-    /// registry hit.
-    ///
-    /// `budget` scales the LUT search budget (1.0 = the paper's full
-    /// budget).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget` is out of `(0, 1]`; see
-    /// [`PwlBackend::try_build`] for the typed-error variant.
-    #[cfg(any(feature = "legacy", test))]
-    #[deprecated(
-        since = "0.1.0",
-        note = "build an `OperatorPlan` and serve through \
-                `gqa_serve::EngineBuilder` / `Engine::session` instead"
-    )]
-    #[must_use]
-    pub fn build(
-        method: Method,
-        replace: ReplaceSet,
-        calib: &CalibrationRecorder,
-        seed: u64,
-        budget: f64,
-    ) -> Self {
-        #[allow(deprecated)]
-        match Self::try_build(method, replace, calib, seed, budget) {
-            Ok(backend) => backend,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`PwlBackend::build`] against the global registry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LutBuildError`] if the budget or entry configuration is
-    /// out of domain.
-    #[cfg(any(feature = "legacy", test))]
-    #[deprecated(
-        since = "0.1.0",
-        note = "build an `OperatorPlan` and serve through \
-                `gqa_serve::EngineBuilder` / `Engine::session` instead"
-    )]
-    pub fn try_build(
-        method: Method,
-        replace: ReplaceSet,
-        calib: &CalibrationRecorder,
-        seed: u64,
-        budget: f64,
-    ) -> Result<Self, LutBuildError> {
-        #[allow(deprecated)]
-        Self::try_build_with(LutRegistry::global(), method, replace, calib, seed, budget)
-    }
-
-    /// [`PwlBackend::try_build`] against a caller-owned registry (tests,
-    /// bounded caches, pre-warmed snapshots).
-    ///
-    /// Bit-compatibility contract: this routes through the same
-    /// `gqa_serve::build_datapath` construction an `Engine` uses, so a
-    /// `PwlBackend` and a `Session` built from the equivalent plan
-    /// produce identical output bits for every operator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LutBuildError`] if the budget or entry configuration is
-    /// out of domain.
-    #[cfg(any(feature = "legacy", test))]
-    #[deprecated(
-        since = "0.1.0",
-        note = "build an `OperatorPlan` and serve through \
-                `gqa_serve::EngineBuilder::with_registry` instead"
-    )]
-    pub fn try_build_with(
-        registry: &LutRegistry,
-        method: Method,
-        replace: ReplaceSet,
-        calib: &CalibrationRecorder,
-        seed: u64,
-        budget: f64,
-    ) -> Result<Self, LutBuildError> {
-        let base = OpPlan::new(method).with_seed(seed).with_budget(budget);
-        let scale_dep =
-            |op: NonLinearOp, kind: UnaryKind| -> Result<IntLutInstance, LutBuildError> {
-                let plan = base.with_scale(calib.pot_scale(kind));
-                let lut = registry.get_or_build(&plan.spec(op))?;
-                match build_datapath(&lut, op, plan.bits, plan.scale) {
-                    OpDatapath::Scaled(inst) => Ok(inst),
-                    OpDatapath::Wide(_) => unreachable!("{op} is scale-dependent"),
-                }
-            };
-        let wide = |op: NonLinearOp| -> Result<MultiRangeLut, LutBuildError> {
-            let lut = registry.get_or_build(&base.spec(op))?;
-            match build_datapath(&lut, op, base.bits, base.scale) {
-                OpDatapath::Wide(unit) => Ok(unit),
-                OpDatapath::Scaled(_) => unreachable!("{op} is wide-range"),
-            }
-        };
-        Ok(Self {
-            gelu: replace
-                .gelu
-                .then(|| scale_dep(NonLinearOp::Gelu, UnaryKind::Gelu))
-                .transpose()?,
-            hswish: replace
-                .hswish
-                .then(|| scale_dep(NonLinearOp::Hswish, UnaryKind::Hswish))
-                .transpose()?,
-            exp: replace
-                .exp
-                .then(|| scale_dep(NonLinearOp::Exp, UnaryKind::Exp))
-                .transpose()?,
-            recip: replace.div.then(|| wide(NonLinearOp::Div)).transpose()?,
-            rsqrt: replace
-                .rsqrt
-                .then(|| wide(NonLinearOp::Rsqrt))
-                .transpose()?,
-        })
-    }
-
     /// Builds directly from pre-made LUTs (used by tests to avoid repeated
     /// searches). Routes through the same `gqa_serve` datapath
     /// construction as the engine, at the historical INT8 defaults.
@@ -372,6 +239,9 @@ impl UnaryBackend for PwlBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::luts::Method;
+    use gqa_registry::LutRegistry;
+    use gqa_serve::OpPlan;
 
     /// Resolve an artifact the engine way (plan entry → owned registry).
     fn quick_lut(method: Method, op: NonLinearOp, seed: u64) -> QuantAwareLut {

@@ -53,9 +53,6 @@ pub use backend::{CalibrationRecorder, PwlBackend, ReplaceSet};
 pub use decoder::{argmax, DecoderConfig, DecoderLayer, TinyDecoder};
 pub use efficientvit::{EffVitConfig, EfficientVitLite};
 pub use gqa_registry::HotSwapBackend;
-#[cfg(feature = "legacy")]
-#[allow(deprecated)] // compatibility re-exports of the deprecated shims
-pub use luts::{build_lut, build_lut_budgeted, try_build_lut_budgeted};
 pub use luts::{LutBuildError, Method};
 pub use segformer::{SegConfig, SegformerLite};
 pub use train::{

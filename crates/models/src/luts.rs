@@ -1,133 +1,20 @@
-//! Deprecated method ↔ LUT builder shims, kept bit-compatible.
+//! The method ↔ LUT vocabulary of the model harness.
 //!
-//! The supported surface is the serving engine: build an
-//! `gqa_serve::OperatorPlan`, resolve it through an
-//! `gqa_serve::EngineBuilder`-owned registry, and read artifacts back with
-//! `Engine::artifact`. These free functions predate that layer; they now
-//! construct the same `gqa_serve::OpPlan` entries and resolve them through
-//! the process-global [`LutRegistry`](gqa_registry::LutRegistry), so
-//! they return bit-identical
-//! artifacts to the engine path (pinned by the root
-//! `tests/serving_engine.rs` equivalence suite) while new code migrates.
-//!
-//! The shims are gated behind the default-off `legacy` cargo feature:
-//! without it only the [`Method`] / [`LutBuildError`] vocabulary remains,
-//! and historical call sites get a *missing-function* error pointing here
-//! instead of a silent deprecation warning. (The crate's own tests keep
-//! them compiled so the bit-compat pin runs on every leg.)
-
-#[cfg(any(feature = "legacy", test))]
-use gqa_funcs::NonLinearOp;
-#[cfg(any(feature = "legacy", test))]
-use gqa_pwl::QuantAwareLut;
-#[cfg(any(feature = "legacy", test))]
-use gqa_registry::LutRegistry;
-#[cfg(any(feature = "legacy", test))]
-use gqa_serve::OpPlan;
+//! LUTs are built through the serving engine: plan the operator with a
+//! `gqa_serve::OperatorPlan`, resolve it through a
+//! `gqa_serve::EngineBuilder`-owned registry (or
+//! `LutRegistry::get_or_build`), and read artifacts back with
+//! `Engine::artifact`. This module re-exports the [`Method`] /
+//! [`LutBuildError`] types those paths speak.
 
 pub use gqa_registry::{LutBuildError, Method};
 
-/// Builds the INT8-ready LUT for `method` on `op` with `entries` ∈ {8, 16}
-/// at the paper's full budget (T = 500, Np = 50 for GQA; 100 K samples for
-/// NN-LUT). Deterministic for a given `seed`; served from the global
-/// artifact registry when an identical artifact was already compiled.
-///
-/// # Example
-///
-/// ```
-/// # #![allow(deprecated)]
-/// use gqa_models::{build_lut_budgeted, Method};
-/// use gqa_funcs::NonLinearOp;
-/// use gqa_fxp::{IntRange, PowerOfTwoScale};
-///
-/// // `build_lut` runs the full paper budget; the budgeted variant used
-/// // here is the same pipeline shrunk so the doctest stays fast.
-/// let lut = build_lut_budgeted(Method::GqaRm, NonLinearOp::Gelu, 8, 42, 0.05);
-/// assert_eq!(lut.num_entries(), 8);
-/// // Instantiate the INT8 datapath at S = 2^-5 and evaluate code 32 (x = 1.0).
-/// let inst = lut.instantiate(PowerOfTwoScale::new(-5), IntRange::signed(8));
-/// let y = inst.eval_dequantized(32);
-/// assert!((y - 0.841).abs() < 0.1); // ≈ GELU(1.0)
-/// ```
-///
-/// # Panics
-///
-/// Panics if `entries` is not 8 or 16.
-#[cfg(any(feature = "legacy", test))]
-#[deprecated(
-    since = "0.1.0",
-    note = "plan the operator with `gqa_serve::OperatorPlan` and resolve it \
-            through `gqa_serve::EngineBuilder` (or `LutRegistry::get_or_build`)"
-)]
-#[must_use]
-pub fn build_lut(method: Method, op: NonLinearOp, entries: usize, seed: u64) -> QuantAwareLut {
-    #[allow(deprecated)]
-    build_lut_budgeted(method, op, entries, seed, 1.0)
-}
-
-/// [`build_lut`] with a budget multiplier in (0, 1] that scales generations
-/// / training steps — used by tests and the model harness to trade a little
-/// MSE for wall-clock.
-///
-/// # Panics
-///
-/// Panics if `entries` is not 8 or 16 or `budget` is out of `(0, 1]`. Use
-/// [`try_build_lut_budgeted`] for a typed error instead.
-#[cfg(any(feature = "legacy", test))]
-#[deprecated(
-    since = "0.1.0",
-    note = "plan the operator with `gqa_serve::OperatorPlan` and resolve it \
-            through `gqa_serve::EngineBuilder` (or `LutRegistry::get_or_build`)"
-)]
-#[must_use]
-pub fn build_lut_budgeted(
-    method: Method,
-    op: NonLinearOp,
-    entries: usize,
-    seed: u64,
-    budget: f64,
-) -> QuantAwareLut {
-    #[allow(deprecated)]
-    match try_build_lut_budgeted(method, op, entries, seed, budget) {
-        Ok(lut) => lut,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`build_lut_budgeted`]: validates the request up front and
-/// returns a typed [`LutBuildError`] (zero or out-of-domain budget,
-/// unsupported entry count) instead of panicking downstream.
-///
-/// # Errors
-///
-/// Returns [`LutBuildError`] if the spec fails validation.
-#[cfg(any(feature = "legacy", test))]
-#[deprecated(
-    since = "0.1.0",
-    note = "plan the operator with `gqa_serve::OperatorPlan` and resolve it \
-            through `gqa_serve::EngineBuilder` (or `LutRegistry::get_or_build`)"
-)]
-pub fn try_build_lut_budgeted(
-    method: Method,
-    op: NonLinearOp,
-    entries: usize,
-    seed: u64,
-    budget: f64,
-) -> Result<QuantAwareLut, LutBuildError> {
-    // Routed through the serving layer's plan type so the shim and the
-    // engine path stay one spelling (and therefore bit-compatible).
-    let spec = OpPlan::new(method)
-        .with_entries(entries)
-        .with_seed(seed)
-        .with_budget(budget)
-        .spec(op);
-    Ok((*LutRegistry::global().get_or_build(&spec)?).clone())
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the shims under test are deliberately deprecated
 mod tests {
     use super::*;
+    use gqa_funcs::NonLinearOp;
+    use gqa_registry::LutRegistry;
+    use gqa_serve::OpPlan;
 
     #[test]
     fn labels() {
@@ -137,32 +24,18 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_build_produces_right_entry_count() {
-        let lut = build_lut_budgeted(Method::GqaNoRm, NonLinearOp::Div, 8, 1, 0.1);
-        assert_eq!(lut.pwl().num_entries(), 8);
-        let lut = build_lut_budgeted(Method::GqaRm, NonLinearOp::Gelu, 16, 1, 0.08);
-        assert_eq!(lut.pwl().num_entries(), 16);
-    }
-
-    #[test]
-    fn repeat_builds_hit_the_registry() {
-        let before = LutRegistry::global().stats();
-        let a = build_lut_budgeted(Method::GqaNoRm, NonLinearOp::Exp, 8, 12345, 0.1);
-        let b = build_lut_budgeted(Method::GqaNoRm, NonLinearOp::Exp, 8, 12345, 0.1);
-        let after = LutRegistry::global().stats();
-        assert_eq!(a, b, "cached artifact must be identical");
-        assert!(after.hits > before.hits, "second build must be a hit");
-    }
-
-    #[test]
-    #[should_panic(expected = "8- and 16-entry")]
-    fn entries_validated() {
-        let _ = build_lut(Method::GqaRm, NonLinearOp::Gelu, 12, 0);
-    }
-
-    #[test]
-    fn zero_budget_is_typed_not_panic() {
-        let err = try_build_lut_budgeted(Method::GqaRm, NonLinearOp::Gelu, 8, 0, 0.0);
-        assert!(matches!(err, Err(LutBuildError::InvalidBudget(b)) if b == 0.0));
+    fn planned_builds_produce_the_requested_entry_count() {
+        for (method, op, entries, budget) in [
+            (Method::GqaNoRm, NonLinearOp::Div, 8, 0.1),
+            (Method::GqaRm, NonLinearOp::Gelu, 16, 0.08),
+        ] {
+            let spec = OpPlan::new(method)
+                .with_entries(entries)
+                .with_seed(1)
+                .with_budget(budget)
+                .spec(op);
+            let lut = LutRegistry::global().get_or_build(&spec).unwrap();
+            assert_eq!(lut.pwl().num_entries(), entries, "{method:?}/{op}");
+        }
     }
 }

@@ -13,13 +13,13 @@
 //!
 //! ```text
 //! gqa-soak [--duration 3s] [--tenants 4] [--export-every 1s]
-//!          [--seed 0xBE7C] [--skew 1.0] [--quota 64]
+//!          [--seed 0xBE7C] [--skew 1.0]
 //! ```
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use gqa_net::{FairConfig, NetClient, NetConfig, NetError, NetServer, RemoteError};
+use gqa_net::{NetClient, NetConfig, NetError, NetServer, RemoteError};
 use gqa_serve::{EngineBuilder, Method, NonLinearOp, OpPlan, OperatorPlan};
 use gqa_served::{
     generate_trace, request_input, BatchConfig, LoadGenConfig, ModelSpec, ServedBuilder,
@@ -35,7 +35,6 @@ struct Args {
     export_every: Duration,
     seed: u64,
     skew: f64,
-    quota: usize,
 }
 
 impl Default for Args {
@@ -46,7 +45,6 @@ impl Default for Args {
             export_every: Duration::from_secs(1),
             seed: 0xBE7C,
             skew: 1.0,
-            quota: 64,
         }
     }
 }
@@ -88,15 +86,10 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --skew: {e}"))?;
             }
-            "--quota" => {
-                args.quota = value("--quota")?
-                    .parse()
-                    .map_err(|e| format!("bad --quota: {e}"))?;
-            }
             "--help" | "-h" => {
                 println!(
                     "gqa-soak [--duration 3s] [--tenants 4] [--export-every 1s] \
-                     [--seed 0xBE7C] [--skew 1.0] [--quota 64]"
+                     [--seed 0xBE7C] [--skew 1.0]"
                 );
                 std::process::exit(0);
             }
@@ -151,18 +144,8 @@ fn main() {
             ..ServedConfig::default()
         })
         .build();
-    let server = NetServer::spawn(
-        served,
-        "127.0.0.1:0",
-        NetConfig {
-            fair: FairConfig {
-                quota: args.quota,
-                ..FairConfig::default()
-            },
-            ..NetConfig::default()
-        },
-    )
-    .expect("bind loopback");
+    let server =
+        NetServer::spawn(served, "127.0.0.1:0", NetConfig::default()).expect("bind loopback");
     let addr = server.addr();
     println!("gqa-soak: serving on {addr}, {} tenants", args.tenants);
 
@@ -188,8 +171,9 @@ fn main() {
                 let mut client =
                     NetClient::connect(addr, &format!("soak-{tenant}")).expect("connect");
                 // Closed-loop replay of this tenant's slice, looped until
-                // the deadline; backpressure (quota or shared-queue
-                // rejection) is counted and shed, as a real client would.
+                // the deadline; backpressure (the tenant's queue share or
+                // the whole queue full) is counted and shed, as a real
+                // client would.
                 'soak: loop {
                     for e in trace.iter().filter(|e| e.tenant == tenant) {
                         if stop.load(Ordering::Relaxed) {
@@ -200,9 +184,7 @@ fn main() {
                             Ok(_) => {
                                 completed.fetch_add(1, Ordering::Relaxed);
                             }
-                            Err(NetError::Remote(
-                                RemoteError::QuotaExceeded { .. } | RemoteError::Rejected { .. },
-                            )) => {
+                            Err(NetError::Remote(RemoteError::Rejected { .. })) => {
                                 shed.fetch_add(1, Ordering::Relaxed);
                             }
                             Err(NetError::Remote(RemoteError::ShuttingDown)) => break 'soak,

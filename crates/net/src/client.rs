@@ -139,7 +139,7 @@ impl NetClient {
     /// # Errors
     ///
     /// [`NetError::Remote`] carries the server's typed refusal
-    /// (rejection, quota, unknown ids, bad shape, shutdown); transport
+    /// (rejection, unknown ids, bad shape, shutdown); transport
     /// failures surface as [`NetError::Io`] / [`NetError::Closed`].
     pub fn infer(&mut self, tenant: u64, model: u64, input: Tensor) -> Result<Tensor, NetError> {
         match self.exchange(&RequestFrame::Infer {

@@ -156,8 +156,9 @@ pub enum RemoteError {
     StepPending,
     /// The server is shutting down.
     ShuttingDown,
-    /// Per-tenant fair-admission quota exhausted — the WFQ layer's own
-    /// backpressure, distinct from shared-queue [`RemoteError::Rejected`].
+    /// Per-tenant admission quota exhausted. Kept decodable for peers of
+    /// older servers; servers no longer send it — a tenant over its
+    /// share of the queue gets [`RemoteError::Rejected`].
     QuotaExceeded {
         /// Requests this tenant has queued in its admission lane.
         queued: u64,

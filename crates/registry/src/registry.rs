@@ -166,8 +166,8 @@ impl LutRegistry {
         }
     }
 
-    /// The process-wide shared registry (the `build_lut`-family free
-    /// functions in `gqa-models` route through it). On first access,
+    /// The process-wide shared registry (the paper-table binaries'
+    /// `gqa_bench::build_lut` routes through it). On first access,
     /// warm-starts from the JSON snapshot named by the
     /// `GQA_LUT_SNAPSHOT` environment variable, when set and readable.
     ///

@@ -2,8 +2,8 @@
 //! compiled artifact is served through, and the single-operator
 //! [`UnaryBackend`] the engine installs into each hot-swap cell.
 //!
-//! The construction here is the canonical spelling (extracted from the
-//! original `PwlBackend::build`, which now routes through it): scale-
+//! The construction here is the canonical spelling (also behind
+//! `PwlBackend::from_luts` in the model crate): scale-
 //! dependent operators instantiate the quant-aware LUT at a power-of-two
 //! input scale; the wide-range DIV/RSQRT intermediates run the paper's
 //! multi-range FXP datapath.
@@ -53,8 +53,8 @@ impl OpDatapath {
 /// `bits` fixes the quantized input range / FXP storage width, `scale`
 /// the power-of-two input scale (scale-dependent operators only).
 ///
-/// This is bit-compatible with the historical `PwlBackend::build` wiring
-/// at `bits = 8` — the deprecated shims delegate here.
+/// At `bits = 8` this is the wiring `PwlBackend::from_luts` uses, so the
+/// fixed-bundle backend and an engine session serve identical bits.
 #[must_use]
 pub fn build_datapath(
     artifact: &QuantAwareLut,

@@ -6,10 +6,13 @@
 //! up a single bit of the workspace's determinism contracts.
 //!
 //! ```text
-//!   tenants ──▶ Served::submit(Request)        admission control:
-//!                 │                            bounded queue, typed
-//!                 │  Coalescer (pure state     Rejected backpressure
-//!                 │  machine, tick-driven)
+//!   tenants ──▶ Served::submit(Request)        admission control: a
+//!   (in-process    │  DecodeSession::step       weighted per-tenant share
+//!    or gqa-net)   │                            of a bounded queue, typed
+//!                  │  Coalescer (pure state     Rejected backpressure
+//!                  │  machine, tick-driven:
+//!                  │  one lane per tenant,
+//!                  │  DRR flush order)
 //!                 ▼
 //!            same-model batch ──▶ dispatch_batch: ONE pooled inference
 //!                 │               forward over the stacked [batch, ...]
@@ -32,8 +35,16 @@
 //! [`Engine::refresh`](gqa_serve::Engine::refresh) race live traffic.
 //!
 //! * [`Coalescer`] — all batching policy (flush-by-size, flush-by-
-//!   deadline, model segregation, bounded admission) as a pure,
-//!   explicitly-ticked state machine.
+//!   deadline, model segregation, bounded admission) and tenant fairness
+//!   as a pure, explicitly-ticked state machine. Every queue holds one
+//!   FIFO lane per tenant; a flush takes up to `max_batch` rows in
+//!   deficit-round-robin order with `quantum × weight` credits per
+//!   visit, and a tenant may hold at most its weighted share
+//!   `max(1, capacity · w_t / Σw)` of the queue. A row at position `p`
+//!   of tenant `t`'s lane leaves its queue within
+//!   `(floor(p / (quantum·w_t)) + 1) · Σ_u quantum·w_u` rows flushed
+//!   from that queue, whatever the other tenants' backlogs
+//!   (`tests/fairness.rs` pins the bound).
 //! * [`Served`] / [`ServedBuilder`] — the threaded shell: worker pool,
 //!   condvar rendezvous [`Ticket`]s, wall or virtual clock, graceful
 //!   drain on drop.
@@ -87,8 +98,6 @@ mod server;
 pub use batcher::{Batch, BatchConfig, Coalescer};
 pub use histogram::{bucket_bounds, bucket_of, HistogramSnapshot, LatencyHistogram, BUCKETS};
 pub use loadgen::{generate_trace, request_input, trace_fingerprint, LoadGenConfig, TraceEntry};
-#[allow(deprecated)] // compatibility re-export of the legacy callback alias
-pub use model::ForwardFn;
 pub use model::{DecodeState, ModelDecode, ModelForward, ModelSpec};
 pub use request::{ModelId, Rejected, Request, ServedError, TenantId};
 pub use server::{

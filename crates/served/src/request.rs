@@ -32,14 +32,17 @@ pub struct Request {
     pub input: Tensor,
 }
 
-/// Admission control said no: the bounded queue is full. The request was
-/// **not** enqueued — backpressure is the caller's signal to retry later
-/// or shed load; the queue never grows past its capacity.
+/// Admission control said no: the submitting tenant holds its full
+/// weighted share of the queue, or the whole bounded queue is full. The
+/// request was **not** enqueued — backpressure is the caller's signal to
+/// retry later or shed load; the queue never grows past its capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rejected {
-    /// Requests queued at the moment of rejection (== `capacity`).
+    /// Requests queued at the moment of rejection (== `capacity`): the
+    /// tenant's own when its share is exhausted, else the total.
     pub depth: usize,
-    /// The configured queue bound.
+    /// The bound that was hit: the tenant's share, else the configured
+    /// queue capacity.
     pub capacity: usize,
 }
 
@@ -58,7 +61,8 @@ impl std::error::Error for Rejected {}
 /// Failure of a front-end submission or wait.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServedError {
-    /// Backpressure: the bounded admission queue is full.
+    /// Backpressure: the tenant's share of the bounded admission queue,
+    /// or the whole queue, is full.
     Rejected(Rejected),
     /// The request names a model index the server was not built with.
     UnknownModel(ModelId),

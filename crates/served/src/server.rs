@@ -104,7 +104,7 @@ pub fn dispatch_batch(
 }
 
 /// Front-end configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServedConfig {
     /// Coalescing policy (batch width, deadline ticks, queue bound).
     pub batch: BatchConfig,
@@ -112,9 +112,20 @@ pub struct ServedConfig {
     /// executes — useful to observe pure admission behaviour).
     pub workers: usize,
     /// Size of the dense tenant id space; submissions must use
-    /// `tenant < tenants`. Each tenant gets its own lock-free latency
-    /// histogram.
+    /// `tenant < tenants`. Each tenant gets its own coalescer lane and
+    /// lock-free latency histogram.
     pub tenants: usize,
+    /// Deficit-round-robin credits granted per scheduling visit per unit
+    /// weight — how many back-to-back rows a weight-1 tenant's lane
+    /// contributes before a flush moves on to the next lane. Larger
+    /// quanta favour same-tenant runs; smaller quanta favour
+    /// interleaving.
+    pub quantum: u64,
+    /// Per-tenant DRR weights. Empty (the default) means weight 1 for
+    /// every tenant; otherwise the length must equal `tenants`. A
+    /// tenant's flush share and its admission share of
+    /// `batch.capacity` are both proportional to its weight.
+    pub weights: Vec<u64>,
     /// Wall-clock duration of one coalescer tick (ignored under a
     /// virtual clock).
     pub tick: Duration,
@@ -126,6 +137,8 @@ impl Default for ServedConfig {
             batch: BatchConfig::default(),
             workers: 2,
             tenants: 1,
+            quantum: 4,
+            weights: Vec::new(),
             tick: Duration::from_micros(100),
         }
     }
@@ -265,23 +278,6 @@ impl Ticket {
     /// Same as [`Ticket::wait`] once the response has resolved to an
     /// error.
     pub fn try_consume(&mut self) -> Option<Result<Tensor, ServedError>> {
-        self.slot.result.lock().expect("slot lock").take()
-    }
-
-    /// Non-blocking check (legacy spelling).
-    ///
-    /// **Removal timeline:** every internal call site has migrated to
-    /// [`Ticket::try_consume`]; this shim exists only for external
-    /// callers and will be **deleted in the next breaking release**
-    /// (0.2.0) — switch now, the replacement is a drop-in rename with an
-    /// honest `&mut self` receiver.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_consume` (or `wait_timeout`): a `Some` return consumes \
-                the one-shot response, which the `&mut self` receivers make \
-                visible in the type; `try_take` will be removed in 0.2.0"
-    )]
-    pub fn try_take(&self) -> Option<Result<Tensor, ServedError>> {
         self.slot.result.lock().expect("slot lock").take()
     }
 }
@@ -554,9 +550,10 @@ impl ServedBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if no models were registered, `tenants == 0`, or a
-    /// wall-clock server has a zero `tick` — all configuration bugs, not
-    /// runtime states.
+    /// Panics if no models were registered, `tenants == 0`, `weights`
+    /// is non-empty with a length other than `tenants`, any weight or
+    /// the `quantum` is zero, or a wall-clock server has a zero `tick` —
+    /// all configuration bugs, not runtime states.
     #[must_use]
     pub fn build(self) -> Served {
         assert!(!self.models.is_empty(), "a server needs at least one model");
@@ -578,6 +575,16 @@ impl ServedBuilder {
                 }
             },
         };
+        let weights = if self.config.weights.is_empty() {
+            vec![1; self.config.tenants]
+        } else {
+            assert_eq!(
+                self.config.weights.len(),
+                self.config.tenants,
+                "weights must cover every tenant"
+            );
+            self.config.weights
+        };
         let session = self.engine.session();
         let inner = Arc::new(Inner {
             engine: self.engine,
@@ -585,7 +592,12 @@ impl ServedBuilder {
             // Two queue families over one policy: queue `m` coalesces
             // model m's plain forwards, queue `models.len() + m` its
             // decode steps (forwards and steps never share a batch).
-            queue: Mutex::new(Coalescer::new(2 * self.models.len(), self.config.batch)),
+            queue: Mutex::new(Coalescer::new(
+                2 * self.models.len(),
+                &weights,
+                self.config.quantum,
+                self.config.batch,
+            )),
             models: self.models,
             work: Condvar::new(),
             clock,
@@ -611,10 +623,12 @@ impl ServedBuilder {
 
 /// The running multi-tenant serving front-end.
 ///
-/// Submissions are admitted into a bounded queue, coalesced per model by
-/// the [`Coalescer`] policy, executed as single batched forwards through
-/// one shared [`Session`] (so [`Engine::swap`] / [`Engine::refresh`]
-/// retune live traffic), and answered through [`Ticket`]s. Dropping the
+/// Submissions are admitted into their tenant's lane of a bounded queue,
+/// coalesced per model by the [`Coalescer`] policy (rows leave the lanes
+/// in deficit-round-robin order), executed as single batched forwards
+/// through one shared [`Session`] (so [`Engine::swap`] /
+/// [`Engine::refresh`] retune live traffic), and answered through
+/// [`Ticket`]s. Dropping the
 /// server drains the queue gracefully — everything admitted executes —
 /// then joins the workers.
 pub struct Served {
@@ -632,17 +646,21 @@ impl std::fmt::Debug for Served {
 }
 
 impl Served {
-    /// Admits one request, returning its response [`Ticket`].
+    /// Admits one request, returning its response [`Ticket`] — the
+    /// single admission point for in-process and socket callers alike.
     ///
     /// Validation (model id, tenant id, input shape) happens before the
-    /// queue is touched; admission control happens inside it. A rejected
-    /// or invalid request leaves no trace in the queue.
+    /// queue is touched; admission control happens inside it: the
+    /// request joins its tenant's lane of the model's queue if both the
+    /// tenant's weighted share and the total capacity have room. A
+    /// rejected or invalid request leaves no trace in the queue.
     ///
     /// # Errors
     ///
     /// [`ServedError::UnknownModel`] / [`ServedError::UnknownTenant`] /
     /// [`ServedError::BadShape`] on validation failure,
-    /// [`ServedError::Rejected`] on backpressure,
+    /// [`ServedError::Rejected`] on backpressure (tenant share or total
+    /// capacity),
     /// [`ServedError::ShuttingDown`] after the server started dropping.
     pub fn submit(&self, req: Request) -> Result<Ticket, ServedError> {
         let inner = &*self.inner;
@@ -672,7 +690,7 @@ impl Served {
             decode: None,
         };
         let mut q = inner.queue.lock().expect("queue lock");
-        match q.submit(req.model, job, inner.clock.now()) {
+        match q.submit(req.model, req.tenant, job, inner.clock.now()) {
             Ok(()) => {
                 // Count before releasing the lock: a worker may execute
                 // the job (bumping `completed`) the instant the lock
@@ -818,14 +836,6 @@ impl Served {
     #[must_use]
     pub fn tenant_count(&self) -> usize {
         self.inner.tenants.len()
-    }
-
-    /// The per-request row shape of `model`, or `None` for an unknown
-    /// id — what a front door validates inputs against before paying
-    /// for admission.
-    #[must_use]
-    pub fn model_row_shape(&self, model: ModelId) -> Option<&[usize]> {
-        self.inner.models.get(model).map(ModelSpec::row_shape)
     }
 
     /// Front-end + engine counters.
@@ -1017,7 +1027,12 @@ impl DecodeSession {
             }),
         };
         let mut q = inner.queue.lock().expect("queue lock");
-        match q.submit(inner.models.len() + self.model, job, inner.clock.now()) {
+        match q.submit(
+            inner.models.len() + self.model,
+            self.tenant,
+            job,
+            inner.clock.now(),
+        ) {
             Ok(()) => {
                 inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
                 drop(q);

@@ -222,6 +222,7 @@ fn decode_coalescing_is_invisible_across_sessions() {
             workers: 2,
             tenants: 2,
             tick: Duration::from_micros(100),
+            ..ServedConfig::default()
         })
         .with_virtual_clock()
         .build();

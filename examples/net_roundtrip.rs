@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example net_roundtrip`
 
 use gqa::funcs::NonLinearOp;
-use gqa::net::{FairConfig, NetClient, NetConfig, NetError, NetServer, RemoteError};
+use gqa::net::{NetClient, NetConfig, NetError, NetServer, RemoteError};
 use gqa::registry::Method;
 use gqa::serve::{EngineBuilder, OpPlan, OperatorPlan};
 use gqa::served::{BatchConfig, ModelSpec, Request, ServedBuilder, ServedConfig};
@@ -16,7 +16,11 @@ fn main() {
     // 1. The serving stack below the socket: an engine serving GELU
     //    through an 8-entry INT8 GQA-LUT (example-sized search budget),
     //    one matmul + LUT-GELU + row-softmax model, a coalescing
-    //    front-end with four tenants.
+    //    front-end with four tenants. Each tenant has its own lane in
+    //    the coalescer; under contention a flush takes rows in
+    //    deficit-round-robin order with `quantum × weight` credits (here
+    //    tenant 0 gets 4× the flush share of tenant 3), and a tenant may
+    //    hold only its weighted share of `capacity` in the queue.
     let base = OpPlan::new(Method::GqaRm).with_seed(7).with_budget(0.05);
     let engine = EngineBuilder::new(OperatorPlan::new().with(NonLinearOp::Gelu, base))
         .build()
@@ -43,26 +47,17 @@ fn main() {
             },
             workers: 2,
             tenants: TENANTS,
+            quantum: 1,
+            weights: vec![4, 2, 1, 1],
             ..ServedConfig::default()
         })
         .build();
 
-    // 2. The network front door: bind an ephemeral loopback port with a
-    //    per-tenant admission quota and DRR weights (tenant 0 gets 4×
-    //    the release share of tenant 3 under contention).
-    let server = NetServer::spawn(
-        served,
-        "127.0.0.1:0",
-        NetConfig {
-            fair: FairConfig {
-                quota: 64,
-                quantum: 1,
-            },
-            weights: vec![4, 2, 1, 1],
-            ..NetConfig::default()
-        },
-    )
-    .expect("bind loopback");
+    // 2. The network front door: bind an ephemeral loopback port. A
+    //    connection thread submits straight into the front-end above,
+    //    so socket and in-process callers share one admission layer.
+    let server =
+        NetServer::spawn(served, "127.0.0.1:0", NetConfig::default()).expect("bind loopback");
     println!("serving on {}", server.addr());
 
     // 3. A blocking client: the Hello handshake pins the protocol
@@ -106,7 +101,7 @@ fn main() {
 
     // 6. The observability surface: a Prometheus text export over the
     //    same wire — serving/engine/net counters plus per-tenant
-    //    latency and admission-wait histogram series.
+    //    latency histogram series.
     let report = client.stats().expect("stats");
     for line in report.lines().take(8) {
         println!("  {line}");
@@ -114,8 +109,8 @@ fn main() {
     println!("  ... ({} lines total)", report.lines().count());
 
     // 7. Drop order does the full shutdown dance: accept loop, the
-    //    admission pump (draining queued work with typed ShuttingDown),
-    //    the serving front-end, then the connection threads.
+    //    serving front-end (draining queued work, later submissions
+    //    fail typed with ShuttingDown), then the connection threads.
     drop(client);
     drop(server);
     println!("clean shutdown");

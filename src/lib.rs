@@ -20,14 +20,14 @@
 //!   [`serve::Session`] handles, with an operator-level control plane
 //!   (`swap`/`refresh`/`stats`) and per-operator snapshot shards.
 //! * [`served`] — the multi-tenant serving front-end above the engine:
-//!   bounded admission, per-model request coalescing into single batched
+//!   bounded admission with deficit-round-robin tenant lanes and
+//!   weighted per-tenant shares, per-model request coalescing into single batched
 //!   forwards (bit-invisible to callers), per-tenant lock-free latency
 //!   histograms, and deterministic Zipfian load generation.
 //! * [`net`] — the network front door above the front-end: a
 //!   length-prefixed binary wire protocol over blocking TCP sockets
-//!   (thread-per-connection, no async runtime), deficit-round-robin
-//!   weighted fair admission with per-tenant quotas, EWMA-adaptive
-//!   batching deadlines, a blocking [`net::NetClient`], and the
+//!   (thread-per-connection, no async runtime) submitting straight into
+//!   the front-end's admission, EWMA-adaptive batching deadlines, a blocking [`net::NetClient`], and the
 //!   `gqa-soak` load binary with Prometheus-text metric export.
 //! * [`quant`] — LSQ / power-of-two quantizers and integer-only pipeline glue.
 //! * [`tensor`] — minimal CPU tensor library with reverse-mode autodiff.
